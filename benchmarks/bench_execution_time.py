@@ -1,16 +1,19 @@
-"""Estimated execution time per protocol (§7's future work, full loop).
+"""Simulated execution time per protocol (§7's future work, full loop).
 
-Per-processor clocks with lock/barrier dependency propagation and
-communication stalls turn each protocol's traffic into an estimated
-parallel execution time. The paper conjectured LRC "will outperform
-eager RC in a software DSM environment" — this bench asserts it under
-1992-class constants on two contrasting workloads.
+Timed runs over the ``ethernet_1992`` link turn each protocol's traffic
+into simulated parallel completion time: per-processor virtual clocks,
+lock grants and barrier releases carrying the sender's clock, and
+per-message overhead and serialization charged to the processors they
+stall. The paper conjectured LRC "will outperform eager RC in a
+software DSM environment" — this bench asserts it under 1992-class
+constants on two contrasting workloads.
 """
 
 import pytest
 
+from repro.analysis.timing_report import compare_timed
 from repro.apps import APPS
-from repro.simulator.execution import ExecutionModel, estimate_execution
+from repro.network.link import LinkModel
 
 PROTOCOLS = ("LI", "LU", "EI", "EU", "EW")
 
@@ -24,27 +27,25 @@ def traces():
 
 
 def test_estimated_execution_time(benchmark, traces):
-    model = ExecutionModel.ethernet_1992()
+    link = LinkModel.ethernet_1992()
 
     def runs():
         return {
             app: {
-                p: estimate_execution(trace, p, page_size=2048, model=model)
-                for p in PROTOCOLS
+                p: result.timing["completion_s"]
+                for p, result in compare_timed(trace, link, PROTOCOLS, page_size=2048).items()
             }
             for app, trace in traces.items()
         }
 
     table = benchmark.pedantic(runs, rounds=1, iterations=1)
     print()
-    for app, estimates in table.items():
-        print(f"{app}:")
-        for protocol in PROTOCOLS:
-            print("  " + estimates[protocol].format())
-    for app, estimates in table.items():
-        lazy_best = min(estimates[p].parallel_seconds for p in ("LI", "LU"))
-        eager_best = min(estimates[p].parallel_seconds for p in ("EI", "EU"))
+    for app, completion in table.items():
+        print(f"{app}: " + "  ".join(f"{p}={completion[p]:.3f}s" for p in PROTOCOLS))
+    for app, completion in table.items():
+        lazy_best = min(completion[p] for p in ("LI", "LU"))
+        eager_best = min(completion[p] for p in ("EI", "EU"))
         # The paper's conjecture: LRC outperforms eager RC end-to-end.
         assert lazy_best < eager_best, app
         # And both RC families beat the SC exclusive-writer baseline.
-        assert eager_best < estimates["EW"].parallel_seconds or app == "mp3d"
+        assert eager_best < completion["EW"] or app == "mp3d"

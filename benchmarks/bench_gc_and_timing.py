@@ -1,4 +1,4 @@
-"""Extension benches: diff retention/GC and estimated runtime cost.
+"""Extension benches: diff retention/GC and simulated runtime cost.
 
 Two things the paper flags but does not measure: LRC's memory cost
 (§5.1 assumes infinite memory) and its runtime cost (§7's future work).
@@ -6,9 +6,10 @@ Two things the paper flags but does not measure: LRC's memory cost
 
 import pytest
 
+from repro.analysis.timing_report import compare_timed
 from repro.apps import APPS
+from repro.network.link import LinkModel
 from repro.simulator.engine import simulate
-from repro.simulator.timing import TimingModel, estimate_runtime
 
 
 @pytest.fixture(scope="module")
@@ -37,25 +38,18 @@ def test_diff_retention_and_gc(benchmark, mp3d_trace):
 
 
 def test_estimated_runtime_cost(benchmark, mp3d_trace):
-    """§7 future work: protocol cost under a message-dominated model."""
-    def runs():
-        return {
-            p: simulate(mp3d_trace, p, page_size=2048)
-            for p in ("LI", "LU", "EI", "EU")
-        }
-
-    results = benchmark.pedantic(runs, rounds=1, iterations=1)
-    model = TimingModel.ethernet_1992()
-    print()
-    print("estimated communication cost, 1992 Ethernet-class constants:")
-    estimates = {}
-    for name, result in results.items():
-        estimates[name] = estimate_runtime(result, model)
-        print("  " + estimates[name].format())
-    # With 1 ms messages and 10 Mbit wire, LRC's extra bookkeeping is
-    # dwarfed by the message savings: LI cheapest end to end.
-    assert estimates["LI"].total_seconds == min(
-        e.total_seconds for e in estimates.values()
+    """§7 future work: simulated completion over a 1992 Ethernet link."""
+    link = LinkModel.ethernet_1992()
+    results = benchmark.pedantic(
+        lambda: compare_timed(mp3d_trace, link, ("LI", "LU", "EI", "EU"), page_size=2048),
+        rounds=1,
+        iterations=1,
     )
-    # And the lazy bookkeeping term is visible but small (<30% of total).
-    assert estimates["LI"].bookkeeping_seconds < 0.3 * estimates["LI"].total_seconds
+    completion = {p: result.timing["completion_s"] for p, result in results.items()}
+    print()
+    print("simulated completion, 1992 Ethernet-class link:")
+    for name, seconds in completion.items():
+        print(f"  {name}: {seconds:.3f}s ({results[name].messages} msgs)")
+    # With 1 ms messages and 10 Mbit wire, LRC's message savings
+    # dominate: LI finishes first.
+    assert completion["LI"] == min(completion.values())

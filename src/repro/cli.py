@@ -28,11 +28,11 @@ from repro.analysis.checker import check_protocol
 from repro.analysis.report import format_figure_table, format_table1
 from repro.analysis.sharing import analyze_sharing
 from repro.apps import APPS, generate
+from repro.common.errors import ConfigError, TraceError
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.table1 import run_table1
 from repro.obs import JsonlSink, RecordingProbe, logging_setup
-from repro.protocols.registry import all_protocol_names, protocol_names
-from repro.simulator.timing import TimingModel, estimate_runtime
+from repro.protocols.registry import all_protocol_names
 from repro.simulator.config import PAPER_PAGE_SIZES
 from repro.simulator.engine import simulate
 from repro.trace.codec import load_trace, save_trace
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate one configuration")
     _add_workload_args(run_p)
-    run_p.add_argument("--protocol", choices=protocol_names(), default="LI")
+    run_p.add_argument("--protocol", choices=all_protocol_names(), default="LI")
     run_p.add_argument("--page-size", type=int, default=4096)
     run_p.add_argument("--trace-file", help="replay a saved trace instead of generating")
     run_p.add_argument(
@@ -155,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="protocol to span-trace (with --spans)",
     )
     trace_p.add_argument("--page-size", type=int, default=4096)
-    trace_p.add_argument(
-        "--era", choices=("1992", "modern"), default="1992",
-        help="cost-model constants weighting the span timeline",
-    )
     _add_network_arg(trace_p)
 
     stats_p = sub.add_parser("stats", help="sharing analysis of an app trace")
@@ -171,17 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--page-size", type=int, default=1024)
 
     compare_p = sub.add_parser(
-        "compare", help="all protocols (incl. the EW/Ivy baseline) + runtime estimate"
+        "compare",
+        help="all protocols (incl. the EW/Ivy baseline), timed over "
+        "--network (default ethernet_1992)",
     )
     _add_workload_args(compare_p)
     compare_p.add_argument("--page-size", type=int, default=4096)
-    compare_p.add_argument(
-        "--era",
-        choices=("1992", "modern"),
-        default="1992",
-        help="timing-model constants for the runtime estimate",
-    )
     _add_network_arg(compare_p)
+    compare_p.set_defaults(network="ethernet_1992")
 
     export_p = sub.add_parser("export", help="write all figures + Table 1 as CSV/JSON")
     export_p.add_argument("--out", required=True, help="output directory")
@@ -344,20 +337,13 @@ def _cmd_trace(args) -> int:
         print(f"saved {trace!r} -> {args.out}")
     if args.spans:
         from repro.analysis.critical_path import analyze_critical_path
-        from repro.obs.spans import SpanCosts, build_span_timeline, to_chrome_trace
+        from repro.obs.spans import build_span_timeline, to_chrome_trace
 
-        link = _parse_network(args)
         # A timed run weights the timeline with the link's measured
-        # delays; SpanCosts defaults from the link inside the builder.
-        costs = None
-        if link is None:
-            costs = (
-                SpanCosts.ethernet_1992() if args.era == "1992"
-                else SpanCosts.modern_cluster()
-            )
+        # delays; an untimed one with the ethernet_1992 SpanCosts.
         _result, timeline = build_span_timeline(
-            trace, args.protocol, page_size=args.page_size, costs=costs,
-            link_model=link,
+            trace, args.protocol, page_size=args.page_size,
+            link_model=_parse_network(args),
         )
         with open(args.spans, "w", encoding="utf-8") as fh:
             json.dump(to_chrome_trace(timeline), fh, separators=(",", ":"))
@@ -388,32 +374,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis.timing_report import compare_timed
+    from repro.network.link import parse_link_spec
+
     trace = _generate(args)
-    link = _parse_network(args)
-    if link is not None:
-        model = TimingModel.from_link(link)
-    else:
-        model = (
-            TimingModel.ethernet_1992() if args.era == "1992"
-            else TimingModel.modern_cluster()
-        )
-    overrides = {"link_model": link} if link is not None else {}
+    # Timed ledgers are bit-identical to counting runs, so one timed run
+    # per protocol gives both the counts and the simulated completion.
+    link = parse_link_spec(args.network)
+    results = compare_timed(trace, link, page_size=args.page_size)
     print(f"{args.app}, {args.n_procs} processors, {args.page_size}-byte pages:")
-    for protocol in all_protocol_names():
-        result = simulate(trace, protocol, page_size=args.page_size, **overrides)
-        estimate = estimate_runtime(result, model)
-        line = (
-            f"  {protocol:<3} msgs={result.messages:<9} data={result.data_kbytes:>9.1f}kB "
-            f"misses={result.misses:<7} est={estimate.total_seconds:>8.3f}s"
+    for protocol, result in results.items():
+        print(
+            f"  {protocol:<4} msgs={result.messages:<9} data={result.data_kbytes:>9.1f}kB "
+            f"misses={result.misses:<7} sim={result.timing['completion_s']:>8.3f}s "
+            f"retries={result.timing['retries']}"
         )
-        if result.timing is not None:
-            # Simulated completion accounts for concurrency and link
-            # contention; the estimate is a serial lower bound.
-            line += (
-                f" sim={result.timing['completion_s']:>8.3f}s"
-                f" retries={result.timing['retries']}"
-            )
-        print(line)
     return 0
 
 
@@ -538,7 +513,11 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     logging_setup(-1 if args.quiet else args.verbose)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ConfigError, TraceError) as exc:
+        print(f"lrc-sim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

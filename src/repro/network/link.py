@@ -10,10 +10,8 @@ probabilistic drop with timeout/retransmit. The timed run mode (see
 these parameters; counting mode ignores them entirely, so the message
 and byte ledgers stay bit-identical whatever the link looks like.
 
-This module is also the single home of the hardware cost constants that
-previously lived — duplicated, and drifting — in
-``simulator/timing.py`` (:class:`TimingModel`) and ``obs/spans.py``
-(:class:`SpanCosts`). Both now read :data:`PRESET_CONSTANTS`.
+This module is also the single home of the hardware cost constants:
+:class:`~repro.obs.spans.SpanCosts` reads :data:`PRESET_CONSTANTS` too.
 """
 
 from __future__ import annotations
@@ -24,15 +22,13 @@ from typing import Dict, Optional
 
 from repro.common.errors import ConfigError
 
-#: Canonical per-preset cost constants, shared by :class:`LinkModel`,
-#: :class:`~repro.simulator.timing.TimingModel`, and
-#: :class:`~repro.obs.spans.SpanCosts`. ``overhead_s`` is the fixed
+#: Canonical per-preset cost constants, shared by :class:`LinkModel`
+#: and :class:`~repro.obs.spans.SpanCosts`. ``overhead_s`` is the fixed
 #: per-message software cost (kernel traps, interrupts, protocol
 #: handling — the §1 overhead that makes software DSM messages
 #: expensive); ``bandwidth`` is bytes/s on the wire (``1/bandwidth``
-#: is the historical ``per_byte_s``); the ``diff_*``/``interval_s``/
-#: ``access_s`` entries are the CPU-side constants the span replay and
-#: the runtime estimate charge.
+#: is the historical ``per_byte_s``); the ``diff_*``/``access_s``
+#: entries are the CPU-side constants the span replay charges.
 PRESET_CONSTANTS: Dict[str, Dict[str, float]] = {
     # DECstation-class hardware over 10 Mbit Ethernet — the platform
     # TreadMarks later reported: ~1 ms of software per message,
@@ -43,7 +39,6 @@ PRESET_CONSTANTS: Dict[str, Dict[str, float]] = {
         "bandwidth": 1.25e6,
         "diff_create_s": 5e-4,
         "diff_apply_s": 2e-4,
-        "interval_s": 5e-5,
         "access_s": 5e-8,
     },
     # Commodity cluster: ~5 us/message, ~10 GB/s.
@@ -53,7 +48,6 @@ PRESET_CONSTANTS: Dict[str, Dict[str, float]] = {
         "bandwidth": 1e10,
         "diff_create_s": 2e-6,
         "diff_apply_s": 1e-6,
-        "interval_s": 2e-7,
         "access_s": 1e-9,
     },
 }

@@ -103,14 +103,14 @@ _ROW_WIDTH = 10
 class SpanCosts:
     """Cost constants that weight the span DAG (all in seconds).
 
-    ``message_s``/``byte_s``/``diff_create_s``/``diff_apply_s`` mirror
-    :class:`~repro.simulator.timing.TimingModel`; ``access_s`` is the
-    per-word compute cost between synchronization points (a DECstation
-    word access is ~50 ns, which makes compute visible next to ~1 ms
-    messages without dominating). The presets read the canonical
-    constants in :data:`repro.network.link.PRESET_CONSTANTS` — one
-    source, shared with the link model and the runtime estimate, so the
-    literals can no longer drift apart.
+    ``message_s``/``byte_s`` are one message's fixed and per-byte wire
+    cost; ``access_s`` is the per-word compute cost between
+    synchronization points (a DECstation word access is ~50 ns, which
+    makes compute visible next to ~1 ms messages without dominating);
+    ``diff_create_s``/``diff_apply_s`` are the diff CPU costs. Untimed
+    span runs are weighted by these constants; a timed run's message
+    weights are the link's measured delays instead. The presets read
+    the canonical constants in :data:`repro.network.link.PRESET_CONSTANTS`.
     """
 
     message_s: float = 1e-3
@@ -118,17 +118,6 @@ class SpanCosts:
     access_s: float = 5e-8
     diff_create_s: float = 5e-4
     diff_apply_s: float = 2e-4
-
-    @classmethod
-    def from_timing(cls, model, access_s: float = 5e-8) -> "SpanCosts":
-        """Adopt a :class:`~repro.simulator.timing.TimingModel`'s constants."""
-        return cls(
-            message_s=model.per_message_s,
-            byte_s=model.per_byte_s,
-            access_s=access_s,
-            diff_create_s=model.per_diff_create_s,
-            diff_apply_s=model.per_diff_apply_s,
-        )
 
     @classmethod
     def from_link(cls, link, preset: str = "ethernet_1992") -> "SpanCosts":
@@ -152,20 +141,14 @@ class SpanCosts:
 
     @classmethod
     def from_preset(cls, name: str) -> "SpanCosts":
-        from repro.network.link import PRESET_CONSTANTS
-        from repro.simulator.timing import TimingModel
+        """The weights of the named preset's link and processor."""
+        from repro.network.link import LinkModel
 
-        return cls.from_timing(
-            TimingModel.from_preset(name), access_s=PRESET_CONSTANTS[name]["access_s"]
-        )
+        return cls.from_link(LinkModel.from_preset(name), preset=name)
 
     @classmethod
     def ethernet_1992(cls) -> "SpanCosts":
         return cls.from_preset("ethernet_1992")
-
-    @classmethod
-    def modern_cluster(cls) -> "SpanCosts":
-        return cls.from_preset("modern_cluster")
 
     def message(self, data_bytes: int, control_bytes: int) -> float:
         """Latency of one counted-or-not network message."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.protocols.registry import all_protocol_names
 from tests.conftest import SMALL_SCALE
 
 
@@ -22,6 +23,10 @@ class TestParser:
     def test_rejects_unknown_protocol(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--protocol", "MESI"])
+
+    def test_run_accepts_every_protocol(self):
+        for protocol in all_protocol_names():
+            assert build_parser().parse_args(["run", "--protocol", protocol]).protocol == protocol
 
 
 class TestCommands:
@@ -74,11 +79,38 @@ class TestCommands:
         assert "reads verified" in capsys.readouterr().out
 
     def test_compare(self, capsys):
-        assert main(["compare", *small_args("cholesky"), "--page-size", "1024", "--era", "modern"]) == 0
-        out = capsys.readouterr().out
-        for protocol in ("LI", "LU", "EI", "EU", "EW"):
-            assert protocol in out
-        assert "est=" in out
+        # Default link (ethernet_1992), then an explicit preset.
+        for network in ([], ["--network", "modern_cluster"]):
+            assert main(["compare", *small_args("cholesky"), "--page-size", "1024", *network]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert [row.split()[0] for row in rows] == all_protocol_names()
+            for row in rows:
+                assert "sim=" in row and "retries=0" in row
+
+    def test_run_hlrc(self, capsys):
+        assert main(["run", *small_args("water"), "--protocol", "HLRC", "--page-size", "512"]) == 0
+        assert "HLRC" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", *small_args("water"), "--page-size", "1000"],
+            ["compare", *small_args("water"), "--network", "loss=150%"],
+        ],
+    )
+    def test_user_errors_print_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lrc-sim: error: ")
+        assert "Traceback" not in captured.err
+
+    def test_corrupt_trace_file_is_a_user_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.trcb"
+        bad.write_bytes(b"garbage")
+        assert main(["run", "--trace-file", str(bad)]) == 2
+        assert capsys.readouterr().err == "lrc-sim: error: not a binary trace (magic b'garbage')\n"
 
     def test_locks(self, capsys):
         assert main(["locks", *small_args("cholesky")]) == 0

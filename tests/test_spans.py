@@ -21,6 +21,8 @@ from repro.analysis.critical_path import (
     analyze_critical_path,
     format_critical_path,
 )
+from repro.apps import generate
+from repro.network.link import LinkModel
 from repro.obs import (
     ColumnarSink,
     JsonlSink,
@@ -356,6 +358,28 @@ class TestCli:
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
         assert "span timeline ->" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "network, build_kwargs",
+        [
+            ([], {"costs": SpanCosts.ethernet_1992()}),
+            (["--network", "modern_cluster"], {"link_model": LinkModel.modern_cluster()}),
+        ],
+    )
+    def test_trace_spans_weights(self, tmp_path, network, build_kwargs):
+        # Untimed: the ethernet_1992 SpanCosts weights. Timed: the
+        # link's measured per-message delays.
+        from repro.cli import main
+
+        path = tmp_path / "trace.json"
+        args = ["--app", "water", "--n-procs", "2", "--seed", "1", "--scale", "0.25"]
+        assert main(["trace", *args, "--page-size", "1024", "--spans", str(path), *network]) == 0
+        _, timeline = build_span_timeline(
+            generate("water", n_procs=2, seed=1, scale=0.25), "LI", page_size=1024,
+            **build_kwargs,
+        )
+        expected = json.loads(json.dumps(to_chrome_trace(timeline)))
+        assert json.loads(path.read_text()) == expected
 
     def test_trace_without_outputs_errors(self):
         from repro.cli import main

@@ -338,9 +338,15 @@ class TestCli:
         header = csv_path.read_text(encoding="utf-8").splitlines()[0]
         assert "completion_s" in header and "retries" in header
 
-    def test_bad_network_spec_raises_config_error(self):
+    def test_bad_network_spec_raises_config_error(self, capsys):
         from repro.cli import main
         from repro.common.errors import ConfigError
+        from repro.network.link import parse_link_spec
 
-        with pytest.raises(ConfigError):
-            main(["run", *self._args(), "--network", "warp=9"])
+        with pytest.raises(ConfigError, match="unknown --network key 'warp'"):
+            parse_link_spec("warp=9")
+        # The CLI reports it as a one-line user error, not a traceback.
+        assert main(["run", *self._args(), "--network", "warp=9"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "lrc-sim: error: unknown --network key 'warp'"
+        )

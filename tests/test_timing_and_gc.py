@@ -1,58 +1,11 @@
-"""Tests for the runtime-cost model and the lazy diff garbage collector."""
+"""Tests for the lazy diff garbage collector."""
 
 import pytest
 
 from repro.analysis.checker import check_protocol
 from repro.config import SimConfig
 from repro.simulator.engine import simulate
-from repro.simulator.timing import (
-    TimingEstimate,
-    TimingModel,
-    compare_runtimes,
-    estimate_runtime,
-)
 from tests.conftest import small_trace
-
-
-class TestTimingModel:
-    def test_presets_are_distinct(self):
-        slow = TimingModel.ethernet_1992()
-        fast = TimingModel.modern_cluster()
-        assert slow.per_message_s > 100 * fast.per_message_s
-
-    def test_estimate_components(self):
-        trace = small_trace("mp3d", n_procs=4)
-        result = simulate(trace, "LI", page_size=1024)
-        estimate = estimate_runtime(result, TimingModel())
-        assert estimate.total_seconds == pytest.approx(
-            sum(estimate.breakdown().values())
-        )
-        assert estimate.message_seconds == result.messages * 1e-3
-        assert estimate.bookkeeping_seconds > 0  # lazy pays interval costs
-
-    def test_eager_has_no_bookkeeping_term(self):
-        trace = small_trace("mp3d", n_procs=4)
-        result = simulate(trace, "EI", page_size=1024)
-        estimate = estimate_runtime(result, TimingModel())
-        assert estimate.bookkeeping_seconds == 0
-
-    def test_message_dominated_model_preserves_message_ranking(self):
-        """With per-message cost dominant, estimated time ranks like
-        message counts — the paper's premise that messages are the cost."""
-        trace = small_trace("locusroute", n_procs=4)
-        results = {p: simulate(trace, p, page_size=2048) for p in ("LI", "EU")}
-        model = TimingModel(per_message_s=1.0, per_byte_s=0, per_diff_create_s=0,
-                            per_diff_apply_s=0, per_interval_s=0)
-        estimates = compare_runtimes(results, model)
-        assert (estimates["LI"].total_seconds < estimates["EU"].total_seconds) == (
-            results["LI"].messages < results["EU"].messages
-        )
-
-    def test_format(self):
-        trace = small_trace("water", n_procs=2)
-        result = simulate(trace, "LU", page_size=512)
-        text = estimate_runtime(result, TimingModel.ethernet_1992()).format()
-        assert "LU" in text and "messages=" in text
 
 
 class TestGarbageCollection:
